@@ -110,6 +110,7 @@ class BAATHidingPolicy(Policy):
         if mean_nat <= 0.0:
             return True
         cand = nat > (NAT_IMBALANCE_TOLERANCE * mean_nat)
+        migrated = False
         for i in np.nonzero(cand)[0].tolist():
             node = fleet.nodes[i]
             if not node.is_up or not node.server.vms:
@@ -118,6 +119,11 @@ class BAATHidingPolicy(Policy):
             if t - last < MIGRATION_COOLDOWN_S:
                 continue
             self._migrate_random_vm(node.name, t)
+            migrated = True
+        if migrated:
+            # Migrations move VMs (and un-park destinations) on the
+            # objects; the power path reads both as arrays.
+            fleet.refresh_policy_view()
         return True
 
     def _migrate_random_vm(self, source: str, t: float) -> None:

@@ -23,6 +23,8 @@ import math
 from time import perf_counter
 from typing import Dict
 
+import numpy as np
+
 from repro.core.policies.base import Policy
 from repro.datacenter.power_path import PowerPath
 from repro.errors import ConfigurationError, SimulationError
@@ -101,6 +103,8 @@ class Simulation:
         self._step = 0
         self._last_draws: Dict[str, float] = {}
         self._soc_below: Dict[str, bool] = {}
+        # Fleet runs track the same flags as one bool array.
+        self._fleet_soc_below: np.ndarray | None = None
         self._phase_timers: StepPhaseTimers | None = None
         # Last admin window state written to the servers (None = never):
         # the per-node admin_off fan-out only runs on transitions.
@@ -172,6 +176,8 @@ class Simulation:
             self._fade_start[node.name] = node.battery.capacity_fade
             self._last_draws[node.name] = 0.0
             self._soc_below[node.name] = node.battery.soc < LOW_SOC_THRESHOLD
+        if self._fleet is not None:
+            self._fleet_soc_below = np.array(list(self._soc_below.values()))
         # Built lazily so a disabled registry is never populated with
         # empty phase histograms by a plain (untraced) run.
         if REGISTRY.enabled:
@@ -244,10 +250,16 @@ class Simulation:
             if self._fleet is not None:
                 self._fleet.materialize()
             self.policy.on_day_start(t)
+            if self._fleet is not None:
+                # The hook (and, at step 0, VM placement) may have
+                # changed server state the power path reads as arrays.
+                self._fleet.refresh_policy_view()
 
         if self._admin_in_window is not in_window:
             for node in self.cluster:
                 node.server.admin_off = not in_window
+            if self._fleet is not None:
+                self._fleet.admin_off[:] = not in_window
             self._admin_in_window = in_window
 
         # --- control phase -------------------------------------------
@@ -306,7 +318,13 @@ class Simulation:
         # proportional share (consolidation trades speed for staying
         # powered, which the throughput metric must reflect).
         if in_window:
-            for node in self.cluster:
+            # Only VM hosts advance anything or draw RNG; fleet runs keep
+            # the hosting set as an index list.
+            if self._fleet is None:
+                hosts = self.cluster.nodes
+            else:
+                hosts = [self._fleet.nodes[i] for i in self._fleet.vm_hosts]
+            for node in hosts:
                 if not node.server.vms:
                     # No hosted VMs: neither branch below would advance
                     # anything or draw RNG, so skip the speed query.
@@ -357,32 +375,43 @@ class Simulation:
         A downward crossing also opens the node's ``deep_discharge``
         span (caused by the crossing event), and the matching upward
         crossing closes it — the root interval most Fig.-9 provenance
-        chains bottom out at.
+        chains bottom out at. Fleet runs find the crossing nodes with one
+        array compare and visit only those, in node order.
         """
-        below = self._soc_below
-        fleet_socs = None if self._fleet is None else self._fleet.soc
-        for i, node in enumerate(self.cluster):
-            soc = node.battery.soc if fleet_socs is None else float(fleet_socs[i])
-            now_below = soc < LOW_SOC_THRESHOLD
-            if now_below != below[node.name]:
-                below[node.name] = now_below
-                crossing = SocCrossingEvent(
-                    t=t,
-                    node=node.name,
-                    soc=soc,
-                    threshold=LOW_SOC_THRESHOLD,
-                    direction="down" if now_below else "up",
-                )
-                BUS.emit(crossing)
-                if now_below:
-                    SPANS.start(
-                        "deep_discharge",
-                        node=node.name,
-                        t=t,
-                        cause=crossing.eid,
+        if self._fleet is not None:
+            socs = self._fleet.soc
+            now_below = socs < LOW_SOC_THRESHOLD
+            changed = np.flatnonzero(now_below != self._fleet_soc_below)
+            if len(changed):
+                self._fleet_soc_below = now_below
+                names = self._fleet.node_names
+                for i in changed.tolist():
+                    self._emit_crossing(
+                        t, names[i], float(socs[i]), bool(now_below[i])
                     )
-                else:
-                    SPANS.end("deep_discharge", node=node.name, t=t)
+            return
+        below = self._soc_below
+        for node in self.cluster:
+            soc = node.battery.soc
+            now = soc < LOW_SOC_THRESHOLD
+            if now != below[node.name]:
+                below[node.name] = now
+                self._emit_crossing(t, node.name, soc, now)
+
+    @staticmethod
+    def _emit_crossing(t: float, node: str, soc: float, now_below: bool) -> None:
+        crossing = SocCrossingEvent(
+            t=t,
+            node=node,
+            soc=soc,
+            threshold=LOW_SOC_THRESHOLD,
+            direction="down" if now_below else "up",
+        )
+        BUS.emit(crossing)
+        if now_below:
+            SPANS.start("deep_discharge", node=node, t=t, cause=crossing.eid)
+        else:
+            SPANS.end("deep_discharge", node=node, t=t)
 
     def run(self) -> SimResult:
         """Execute the whole (remaining) trace and return the results."""

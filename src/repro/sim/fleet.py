@@ -3,9 +3,10 @@
 The reference engine advances each node's :class:`~repro.battery.unit.
 BatteryUnit` object through a deep per-node call chain every step. At
 fleet sizes (48-192 nodes) that chain dominates wall-clock. This module
-provides a fast path that holds the whole fleet's battery/tracker state
-in flat numpy arrays (:class:`FleetState`) and replays the *exact* same
-arithmetic as array passes (:class:`FleetPowerPath`).
+provides a fast path that holds the whole fleet's battery/tracker state,
+and the server state the power path reads every step, in flat numpy
+arrays (:class:`FleetState`) and replays the *exact* same arithmetic as
+array passes (:class:`FleetPowerPath`).
 
 Bit-compatibility contract
 --------------------------
@@ -63,7 +64,12 @@ from repro.battery.voltage import (
 )
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.power_path import RESTART_SOC, PowerFlows, PowerPath
-from repro.datacenter.server import IDLE_DYNAMIC_FRACTION, ServerPowerState
+from repro.datacenter.node import Node
+from repro.datacenter.server import (
+    BOOT_SECONDS,
+    IDLE_DYNAMIC_FRACTION,
+    ServerPowerState,
+)
 from repro.errors import ConfigurationError
 from repro.obs import BUS, REGISTRY
 from repro.obs.events import BrownoutEvent
@@ -92,6 +98,77 @@ _REGION_LABELS = ("A", "B", "C", "D")
 #: Active-mass SoC stress weights indexed by region (A..D).
 _SOC_WEIGHTS = np.array([1.0, 1.5, 2.1, 3.0])
 
+#: Server power-state codes of ``FleetState.power_state``.
+_UP, _DOWN, _BOOTING = 0, 1, 2
+_STATE_CODE = {
+    ServerPowerState.UP: _UP,
+    ServerPowerState.DOWN: _DOWN,
+    ServerPowerState.BOOTING: _BOOTING,
+}
+
+#: (owner, attribute, array) of every scalar per-node field the arrays
+#: own between :meth:`FleetState.capture` and
+#: :meth:`FleetState.materialize`; owners are keys of
+#: :meth:`FleetState._owners`. The two dict-valued fields (aging damage,
+#: tracker regions) are synced row by row beside these.
+_SYNCED = (
+    ("battery", "_soc", "soc"),
+    ("thermal", "temperature_c", "temp_c"),
+    ("thermal", "ambient_c", "ambient_c"),
+    ("battery", "_time_s", "time_s"),
+    ("battery", "_last_current", "last_current"),
+    ("battery", "_hours_since_full", "h_full"),
+    ("battery", "energy_in_wh", "energy_in_wh"),
+    ("battery", "energy_out_wh", "energy_out_wh"),
+    ("aging_state", "discharged_ah", "aging_discharged_ah"),
+    ("aging_state", "charged_ah", "aging_charged_ah"),
+    ("aging", "_recoverable_stratification", "recoverable_strat"),
+    ("acc", "discharged_ah", "tr_discharged_ah"),
+    ("acc", "charged_ah", "tr_charged_ah"),
+    ("acc", "total_time_s", "tr_total_time_s"),
+    ("acc", "deep_discharge_time_s", "tr_deep_time_s"),
+    ("acc", "discharge_time_s", "tr_discharge_time_s"),
+    ("acc", "discharge_current_time_as", "tr_current_time_as"),
+    ("acc", "peak_discharge_current_a", "tr_peak_a"),
+    ("acc", "high_rate_low_soc_time_s", "tr_high_rate_s"),
+    ("node", "feedback_wh", "feedback_wh"),
+    ("server", "downtime_s", "downtime_s"),
+    ("server", "_boot_remaining_s", "boot_remaining_s"),
+)
+
+
+#: (array, dtype) of the server control-plane columns, in the order
+#: :func:`_server_row` reads them.
+_SERVER_COLUMNS = (
+    ("power_state", np.int8),
+    ("admin_off", bool),
+    ("policy_off_mask", bool),
+    ("freq_index", np.intp),
+    ("idle_f", float),
+    ("hosts_vms", bool),
+    ("discharge_cap", float),
+)
+
+
+def _server_row(node: Node) -> tuple:
+    """One node's :data:`_SERVER_COLUMNS` values, read off the objects.
+
+    ``idle_f`` is the idle draw at the current DVFS level: the constant
+    :meth:`Server.power` returns for a booting server or a VM-less up
+    one (same expression, so the same float).
+    """
+    s = node.server
+    p = s.params
+    return (
+        _STATE_CODE[s.state],
+        s.admin_off,
+        s.policy_off,
+        s.freq_index,
+        p.idle_w * (1.0 - IDLE_DYNAMIC_FRACTION * (1.0 - s.frequency)),
+        bool(s.vms),
+        node.discharge_cap_w,
+    )
+
 
 def _clamp01(values: np.ndarray) -> np.ndarray:
     """Vector twin of ``clamp(v, 0.0, 1.0)`` (= max(0, min(1, v)))."""
@@ -99,11 +176,14 @@ def _clamp01(values: np.ndarray) -> np.ndarray:
 
 
 class FleetState:
-    """Struct-of-arrays mirror of every node's battery + tracker state.
+    """Struct-of-arrays mirror of every node's battery + tracker state,
+    plus the server state the power path reads each step.
 
-    Arrays are authoritative between :meth:`capture` and
-    :meth:`materialize`; the per-node objects are only synchronised at
-    policy/inspection boundaries. All arrays are ordered like
+    Battery, tracker and the servers' downtime/boot-timer arrays are
+    authoritative between :meth:`capture` and :meth:`materialize`; the
+    per-node objects are only synchronised at policy/inspection
+    boundaries. The server control-plane arrays mirror the objects (see
+    :meth:`refresh_policy_view`). All arrays are ordered like
     ``cluster.nodes``.
     """
 
@@ -229,111 +309,98 @@ class FleetState:
         self.node_names = [nd.name for nd in self.nodes]
         assert len(self.node_names) == n
 
+    def _owners(self) -> Dict[str, list]:
+        """Per-node objects holding the :data:`_SYNCED` attributes, in
+        node order (fetched fresh: a sync must follow the live objects)."""
+        nodes = self.nodes
+        bats = [nd.battery for nd in nodes]
+        return {
+            "battery": bats,
+            "thermal": [b.thermal for b in bats],
+            "aging": [b.aging for b in bats],
+            "aging_state": [b.aging.state for b in bats],
+            "acc": [nd.tracker.acc for nd in nodes],
+            "node": nodes,
+            "server": [nd.server for nd in nodes],
+        }
+
     def capture(self) -> None:
         """Load all mutable per-node state from the objects into arrays."""
-
-        def arr(get) -> np.ndarray:
-            return np.array([float(get(node)) for node in self.nodes])
-
-        b = lambda nd: nd.battery  # noqa: E731
-        self.soc = arr(lambda nd: b(nd)._soc)
-        self.temp_c = arr(lambda nd: b(nd).thermal.temperature_c)
-        self.ambient_c = arr(lambda nd: b(nd).thermal.ambient_c)
-        self.time_s = arr(lambda nd: b(nd)._time_s)
-        self.last_current = arr(lambda nd: b(nd)._last_current)
-        self.h_full = arr(lambda nd: b(nd)._hours_since_full)
-        self.energy_in_wh = arr(lambda nd: b(nd).energy_in_wh)
-        self.energy_out_wh = arr(lambda nd: b(nd).energy_out_wh)
+        owners = self._owners()
+        for owner, attr, name in _SYNCED:
+            setattr(
+                self,
+                name,
+                np.array([getattr(o, attr) for o in owners[owner]], dtype=float),
+            )
+        damage = [st.damage for st in owners["aging_state"]]
         self.damage = np.array(
-            [
-                [float(b(nd).aging.state.damage.get(name, 0.0)) for nd in self.nodes]
-                for name in self.mech_names
-            ]
+            [[d.get(key, 0.0) for d in damage] for key in self.mech_names],
+            dtype=float,
         )  # (5, n)
-        self.aging_discharged_ah = arr(lambda nd: b(nd).aging.state.discharged_ah)
-        self.aging_charged_ah = arr(lambda nd: b(nd).aging.state.charged_ah)
-        self.recoverable_strat = arr(
-            lambda nd: b(nd).aging._recoverable_stratification
-        )
-        acc = lambda nd: nd.tracker.acc  # noqa: E731
-        self.tr_discharged_ah = arr(lambda nd: acc(nd).discharged_ah)
-        self.tr_charged_ah = arr(lambda nd: acc(nd).charged_ah)
+        region = [acc.region_discharged_ah for acc in owners["acc"]]
         self.tr_region = np.array(
-            [
-                [float(acc(nd).region_discharged_ah[k]) for nd in self.nodes]
-                for k in _REGION_LABELS
-            ]
+            [[r[key] for r in region] for key in _REGION_LABELS], dtype=float
         )  # (4, n)
-        self.tr_total_time_s = arr(lambda nd: acc(nd).total_time_s)
-        self.tr_deep_time_s = arr(lambda nd: acc(nd).deep_discharge_time_s)
-        self.tr_discharge_time_s = arr(lambda nd: acc(nd).discharge_time_s)
-        self.tr_current_time_as = arr(lambda nd: acc(nd).discharge_current_time_as)
-        self.tr_peak_a = arr(lambda nd: acc(nd).peak_discharge_current_a)
-        self.tr_high_rate_s = arr(lambda nd: acc(nd).high_rate_low_soc_time_s)
-        self.feedback_wh = arr(lambda nd: nd.feedback_wh)
         self._dirty = False
         self._state_version += 1
         self.refresh_policy_view()
 
     def refresh_policy_view(self) -> None:
-        """Rebuild the control-plane masks from the server objects.
+        """Re-read the server control-plane state from the objects.
 
-        ``server_up``, ``policy_off_mask`` and ``policy_restricted`` let
-        policy decision kernels select eligible nodes without touching
-        the object API. The power path keeps ``server_up`` current at the
-        end of every step; the engine re-reads the other two whenever an
-        object-path control pass may have parked/throttled nodes.
+        The power path reads power state, ``admin_off``/``policy_off``,
+        DVFS level (as the idle draw ``idle_f``), discharge cap and the
+        VM-hosting set from these arrays, and the policy decision
+        kernels select eligible nodes through ``server_up``,
+        ``policy_off_mask`` and ``policy_restricted``. Object code that
+        changes any of them must be followed by this call (or
+        :meth:`refresh_node`): the engine does so after an object-path
+        control pass and the day-start hook. The power path keeps the
+        arrays and the objects in step for the changes it makes itself
+        (restart, brownout, boot completion).
         """
-        self.policy_off_mask = np.array(
-            [nd.server.policy_off for nd in self.nodes]
-        )
-        self.policy_restricted = np.array(
-            [
-                nd.server.freq_index > 0 or nd.discharge_cap_w != float("inf")
-                for nd in self.nodes
-            ]
-        )
-        self.server_up = np.array(
-            [nd.server.state is ServerPowerState.UP for nd in self.nodes]
-        )
+        columns = zip(*[_server_row(nd) for nd in self.nodes])
+        for (name, dtype), column in zip(_SERVER_COLUMNS, columns):
+            setattr(self, name, np.array(column, dtype=dtype))
+        self._derive_server_masks()
+
+    def refresh_node(self, i: int) -> None:
+        """:meth:`refresh_policy_view` for the single node ``i``."""
+        for (name, _dtype), value in zip(_SERVER_COLUMNS, _server_row(self.nodes[i])):
+            getattr(self, name)[i] = value
+        self._derive_server_masks()
+
+    def _derive_server_masks(self) -> None:
+        self.server_up = self.power_state == _UP
+        self.policy_restricted = (self.freq_index > 0) | (self.discharge_cap != math.inf)
+        #: Indices of the nodes hosting VMs, in node order.
+        self.vm_hosts: List[int] = np.flatnonzero(self.hosts_vms).tolist()
 
     def materialize(self) -> None:
         """Write array state back into the per-node objects.
 
-        Called before any code that reads batteries/trackers through the
-        object API (policy control, day hooks, result collection). A
-        no-op when the arrays have not advanced since the last sync.
+        Called before any code that reads batteries/trackers (or server
+        downtime and boot timers) through the object API (policy control,
+        day hooks, result collection). A no-op when the arrays have not
+        advanced since the last sync. ``tolist()`` yields the same Python
+        floats as per-element ``float()`` reads.
         """
         if not self._dirty:
             return
-        for i, node in enumerate(self.nodes):
-            bat = node.battery
-            bat._soc = float(self.soc[i])
-            bat.thermal.temperature_c = float(self.temp_c[i])
-            bat.thermal.ambient_c = float(self.ambient_c[i])
-            bat._time_s = float(self.time_s[i])
-            bat._last_current = float(self.last_current[i])
-            bat._hours_since_full = float(self.h_full[i])
-            bat.energy_in_wh = float(self.energy_in_wh[i])
-            bat.energy_out_wh = float(self.energy_out_wh[i])
-            damage = bat.aging.state.damage
-            for row, name in enumerate(self.mech_names):
-                damage[name] = float(self.damage[row, i])
-            bat.aging.state.discharged_ah = float(self.aging_discharged_ah[i])
-            bat.aging.state.charged_ah = float(self.aging_charged_ah[i])
-            bat.aging._recoverable_stratification = float(self.recoverable_strat[i])
-            acc = node.tracker.acc
-            acc.discharged_ah = float(self.tr_discharged_ah[i])
-            acc.charged_ah = float(self.tr_charged_ah[i])
-            for row, label in enumerate(_REGION_LABELS):
-                acc.region_discharged_ah[label] = float(self.tr_region[row, i])
-            acc.total_time_s = float(self.tr_total_time_s[i])
-            acc.deep_discharge_time_s = float(self.tr_deep_time_s[i])
-            acc.discharge_time_s = float(self.tr_discharge_time_s[i])
-            acc.discharge_current_time_as = float(self.tr_current_time_as[i])
-            acc.peak_discharge_current_a = float(self.tr_peak_a[i])
-            acc.high_rate_low_soc_time_s = float(self.tr_high_rate_s[i])
-            node.feedback_wh = float(self.feedback_wh[i])
+        owners = self._owners()
+        for owner, attr, name in _SYNCED:
+            for obj, value in zip(owners[owner], getattr(self, name).tolist()):
+                setattr(obj, attr, value)
+        damage = [st.damage for st in owners["aging_state"]]
+        region = [acc.region_discharged_ah for acc in owners["acc"]]
+        for dicts, keys, arr in (
+            (damage, self.mech_names, self.damage),
+            (region, _REGION_LABELS, self.tr_region),
+        ):
+            for key, row in zip(keys, arr.tolist()):
+                for d, value in zip(dicts, row):
+                    d[key] = value
         self._dirty = False
 
     def set_ambient(self, ambient_c: float) -> None:
@@ -535,9 +602,11 @@ class FleetPowerPath(PowerPath):
 
     Per-node ``BatteryUnit`` calls are replaced by four vector kernels
     (discharge, charge, rest, tracker-observe) over :class:`FleetState`
-    arrays; servers, the policy-visible object API, and all sequential
-    accounting (utility budget, charge-walk surplus, flow sums) keep the
-    reference semantics and iteration order exactly.
+    arrays, and the per-node server walks (restart scan, demand,
+    deficits, brownouts, server advance) by mask passes over its server
+    arrays. Cross-node reductions keep the reference's own: builtin
+    ``sum()`` for total demand, sequential folds (``cumsum``, Python
+    ``+=``) for the utility budget, charge-walk surplus and flow sums.
     """
 
     def __init__(self, cluster: Cluster, utility_budget_w: float = 0.0):
@@ -553,22 +622,6 @@ class FleetPowerPath(PowerPath):
         self._op_stored_ah = np.zeros(n)
         self._op_delivered_w = np.zeros(n)
         self._op_absorbed_w = np.zeros(n)
-        # Idle demand of a VM-less, unthrottled, up server: Server.power
-        # collapses to exactly this constant (utilization and migration
-        # terms are exact zeros), so the demand walk can skip two method
-        # calls per empty node. Precomputed with the same expression the
-        # scalar path evaluates.
-        self._idle_demand = [
-            float(
-                nd.server.params.idle_w
-                * (
-                    1.0
-                    - IDLE_DYNAMIC_FRACTION
-                    * (1.0 - nd.server.params.freq_levels[0])
-                )
-            )
-            for nd in self.fleet.nodes
-        ]
 
     # ------------------------------------------------------------------
     def step(
@@ -582,17 +635,18 @@ class FleetPowerPath(PowerPath):
         nodes = self.cluster.nodes
         fs = self.fleet
         der = fs.derived(dt)
+        state = fs.power_state
+        admin_off = fs.admin_off
 
         # --- restart any down node that now has a power prospect --------
-        down_state = ServerPowerState.DOWN
-        drawing = sum(
-            1
-            for nd in nodes
-            if not nd.server.admin_off and nd.server.state is not down_state
-        )
-        per_node_solar_guess = solar_w / float(drawing + 1)
-        for i, node in enumerate(nodes):
-            if node.server.state is down_state and not node.server.admin_off:
+        # Scalar work only for the down, not-admin-off candidates.
+        down = state == _DOWN
+        cand = np.flatnonzero(down & ~admin_off)
+        if len(cand):
+            drawing = fs.n - int(np.count_nonzero(down | admin_off))
+            per_node_solar_guess = solar_w / float(drawing + 1)
+            for i in cand.tolist():
+                node = nodes[i]
                 idle = node.server.params.idle_w
                 solar_ok = per_node_solar_guess >= idle
                 battery_ok = (
@@ -603,55 +657,39 @@ class FleetPowerPath(PowerPath):
                 )
                 if solar_ok or battery_ok:
                     node.server.power_on()
+                    state[i] = _BOOTING
+                    fs.boot_remaining_s[i] = BOOT_SECONDS
 
-        # --- demand (sequential: preserves the RNG draw order) -----------
-        # VM-less up servers at full frequency draw exactly their idle
-        # constant and make no RNG draws, so the object calls are skipped
-        # for them; every other node goes through Server.power unchanged.
-        up_state = ServerPowerState.UP
-        idle_demand = self._idle_demand
-        demands = []
-        for i, nd in enumerate(nodes):
-            server = nd.server
-            if (
-                not server.vms
-                and server._freq_index == 0
-                and not server.admin_off
-                and not server.policy_off
-                and server.state is up_state
-            ):
-                demands.append(idle_demand[i])
-            else:
-                demands.append(server.power(server.utilization(t, rng)))
-        total_demand = sum(demands)
+        # --- demand ------------------------------------------------------
+        # Off and down servers draw 0; a booting or VM-less up server
+        # draws exactly its idle(f) constant and makes no RNG draw. Only
+        # VM hosts go through Server.power, in node order, so the RNG
+        # draw order is the reference's.
+        off = admin_off | fs.policy_off_mask | (state == _DOWN)
+        demand = np.where(off, 0.0, fs.idle_f)
+        for i in fs.vm_hosts:
+            server = nodes[i].server
+            demand[i] = server.power(server.utilization(t, rng))
+        total_demand = sum(demand.tolist())
 
         solar_to_load = min(solar_w, total_demand)
 
-        # --- per-node deficits and the utility budget (sequential) -------
-        utility_left = self.utility_budget_w
+        # --- per-node deficits and the utility budget --------------------
+        share = solar_to_load * demand / total_demand if total_demand > 0 else 0.0
+        deficit = demand - share
         utility_used = 0.0
-        discharge_idx: List[int] = []
-        discharge_power: List[float] = []
-        deficits: Dict[int, float] = {}
-        for i, node in enumerate(nodes):
-            demand = demands[i]
-            share = (
-                solar_to_load * demand / total_demand if total_demand > 0 else 0.0
-            )
-            deficit = demand - share
-            if deficit <= 1e-9:
-                continue
-            from_utility = min(deficit, utility_left)
-            utility_left -= from_utility
-            utility_used += from_utility
-            deficit -= from_utility
-            if deficit <= 1e-9:
-                continue
-            deficits[i] = deficit
-            allowed = min(deficit, node.discharge_cap_w)
-            if allowed > 0.0:
-                discharge_idx.append(i)
-                discharge_power.append(allowed)
+        if self.utility_budget_w != 0.0:
+            # A capped budget drains in node order: sequential walk.
+            utility_left = self.utility_budget_w
+            for i in np.flatnonzero(deficit > 1e-9).tolist():
+                d = float(deficit[i])
+                from_utility = min(d, utility_left)
+                utility_left -= from_utility
+                utility_used += from_utility
+                deficit[i] = d - from_utility
+        need = deficit > 1e-9
+        allowed = np.minimum(deficit, fs.discharge_cap)
+        idx = np.flatnonzero(need & (allowed > 0.0))
 
         # Per-node op buffers: every battery resolves to exactly one op.
         mode = self._mode
@@ -672,37 +710,32 @@ class FleetPowerPath(PowerPath):
         op_absorbed_w.fill(0.0)
 
         # --- battery bridges the deficit (vector kernel) ------------------
-        delivered_by_idx: Dict[int, float] = {}
-        if discharge_idx:
-            idx = np.asarray(discharge_idx, dtype=np.intp)
-            power = np.asarray(discharge_power)
-            delivered = self._discharge_kernel(
-                idx, power, dt, der, mode, op_current, op_drain_ah, op_delivered_w
-            )
-            delivered_by_idx = {
-                int(i): float(w) for i, w in zip(idx, delivered)
-            }
-
         battery_to_load = 0.0
+        if len(idx):
+            delivered = self._discharge_kernel(
+                idx, allowed[idx], dt, der,
+                mode, op_current, op_drain_ah, op_delivered_w,
+            )
+            # cumsum is a sequential left fold: the reference's `+=`.
+            battery_to_load = float(np.cumsum(delivered)[-1])
+
+        # --- brownouts: a materially unmet deficit ------------------------
         unserved = 0.0
         browned_out = 0
-        for i, deficit in deficits.items():
+        ni = np.flatnonzero(need)
+        shortfall = deficit[ni] - op_delivered_w[ni]
+        brown = shortfall > np.maximum(2.0, 0.02 * deficit[ni])
+        for i, short in zip(ni[brown].tolist(), shortfall[brown].tolist()):
             node = nodes[i]
-            delivered = delivered_by_idx.get(i, 0.0)
-            if i in delivered_by_idx:
-                battery_to_load += delivered
-            shortfall = deficit - delivered
-            if shortfall > max(2.0, 0.02 * deficit):
-                unserved += shortfall
-                node.unserved_wh += shortfall * dt / SECONDS_PER_HOUR
-                node.server.brownout()
-                browned_out += 1
-                if BUS.enabled:
-                    BUS.emit(
-                        BrownoutEvent(t=t, node=node.name, shortfall_w=shortfall)
-                    )
-                if REGISTRY.enabled:
-                    REGISTRY.counter("power/brownouts").inc()
+            unserved += short
+            node.unserved_wh += short * dt / SECONDS_PER_HOUR
+            node.server.brownout()  # checkpoints the VMs
+            state[i] = _DOWN
+            browned_out += 1
+            if BUS.enabled:
+                BUS.emit(BrownoutEvent(t=t, node=node.name, shortfall_w=short))
+            if REGISTRY.enabled:
+                REGISTRY.counter("power/brownouts").inc()
 
         # --- surplus solar charges batteries, emptiest first --------------
         surplus = max(0.0, solar_w - solar_to_load)
@@ -729,11 +762,7 @@ class FleetPowerPath(PowerPath):
         )
 
         # --- advance servers and sensors ----------------------------------
-        up = fs.server_up
-        for i, node in enumerate(nodes):
-            server = node.server
-            server.advance_state(dt)
-            up[i] = server.state is ServerPowerState.UP
+        self._advance_servers(dt)
         self._observe_all(dt)
         fs._dirty = True
         fs._state_version += 1
@@ -749,6 +778,34 @@ class FleetPowerPath(PowerPath):
             unserved_w=unserved,
             browned_out_nodes=browned_out,
         )
+
+    def _advance_servers(self, dt: float) -> None:
+        """Vectorised :meth:`Server.advance_state` for the whole fleet.
+
+        Downtime and boot timers stay in the arrays (written back by
+        :meth:`FleetState.materialize`); a completed boot is written to
+        its server object at once, like every other power-state change.
+        """
+        fs = self.fleet
+        state = fs.power_state
+        active = ~(fs.admin_off | fs.policy_off_mask)
+        fs.downtime_s[active & (state == _DOWN)] += dt
+        bi = np.flatnonzero(active & (state == _BOOTING))
+        if len(bi):
+            rem = fs.boot_remaining_s[bi]
+            fs.downtime_s[bi] += np.minimum(dt, rem)
+            rem -= dt
+            done = rem <= 0.0
+            rem[done] = 0.0
+            fs.boot_remaining_s[bi] = rem
+            if done.any():
+                up_i = bi[done]
+                state[up_i] = _UP
+                for i in up_i.tolist():
+                    server = fs.nodes[i].server
+                    server._boot_remaining_s = 0.0
+                    server.state = ServerPowerState.UP
+        np.equal(state, _UP, out=fs.server_up)
 
     # ------------------------------------------------------------------
     # Kernels

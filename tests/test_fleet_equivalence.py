@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.policies.factory import make_policy
+from repro.datacenter.server import ServerPowerState
 from repro.datacenter.workloads import PAPER_WORKLOADS, standard_mix
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulation
@@ -164,6 +165,94 @@ class TestActionRichFleetEquivalence:
         assert ref_sim.policy.monitor.migrations == fleet_sim.policy.monitor.migrations
         assert ref_sim.policy.monitor.parks == fleet_sim.policy.monitor.parks
         assert ref_sim.policy.monitor.throttles == fleet_sim.policy.monitor.throttles
+
+
+class TestServerStateGolden:
+    """Server state the fleet power path keeps in arrays.
+
+    Three battery-starved web/analytics hosts brown out, stay down across
+    the evening admin-window flip and restart (DOWN -> BOOTING -> UP over
+    several 60-s steps) the next morning. Mid-run, object code parks one
+    VM-less node and DVFS-throttles another, followed by the documented
+    ``refresh_policy_view()`` re-read on the fleet side. Per-step power
+    states, the final server objects (downtime, boot timers) and the RNG
+    must match the reference exactly, with and without a utility budget.
+    """
+
+    DAYS = [DayClass.CLOUDY, DayClass.RAINY, DayClass.SUNNY]
+    PARK_STEP, UNPARK_STEP, THROTTLE_STEP = 600, 1000, 700
+
+    def _scenario(self, utility_budget_w):
+        return Scenario(
+            n_nodes=6,
+            dt_s=60.0,
+            initial_soc=0.3,
+            utility_budget_w=utility_budget_w,
+            workloads=_workloads("web_serving", "data_analytics", "word_count"),
+        )
+
+    def _inject(self, sim):
+        """Object-side control actions on VM-less nodes 4 and 5."""
+        step = sim.steps_done
+        parked, throttled = sim.cluster.nodes[4], sim.cluster.nodes[5]
+        if step == self.PARK_STEP:
+            parked.server.policy_off = True
+            parked.discharge_cap_w = 0.0
+        elif step == self.UNPARK_STEP:
+            parked.server.policy_off = False
+            parked.discharge_cap_w = float("inf")
+        elif step == self.THROTTLE_STEP:
+            throttled.server.set_freq_index(2)
+        else:
+            return
+        assert not parked.server.vms and not throttled.server.vms
+        if sim._fleet is not None:
+            sim._fleet.refresh_policy_view()
+
+    @staticmethod
+    def _server_state(sim):
+        return [
+            (
+                n.server.state,
+                n.server.downtime_s,
+                n.server._boot_remaining_s,
+                n.server.freq_index,
+                n.server.policy_off,
+                n.server.admin_off,
+            )
+            for n in sim.cluster
+        ]
+
+    @pytest.mark.parametrize("utility_budget_w", [0.0, 40.0])
+    def test_restart_cycles_parks_and_throttles(self, utility_budget_w):
+        scenario = self._scenario(utility_budget_w)
+        sims = []
+        for stepper in ("reference", "fleet"):
+            sc = dataclasses.replace(scenario, stepper=stepper)
+            trace = sc.trace_generator().days(self.DAYS)
+            sims.append(
+                Simulation(sc, make_policy("e-buff"), trace, record_series=True)
+            )
+        ref_sim, fleet_sim = sims
+        booted = down_overnight = 0
+        while ref_sim.steps_done < ref_sim.steps_total:
+            for sim in sims:
+                self._inject(sim)
+                sim.step_once()
+            states = [n.server.state for n in fleet_sim.cluster]
+            # Restart, brownout and boot completion reach the objects in
+            # the same step.
+            assert states == [n.server.state for n in ref_sim.cluster]
+            booted += states.count(ServerPowerState.BOOTING)
+            if fleet_sim.cluster.nodes[0].server.admin_off:
+                down_overnight += states.count(ServerPowerState.DOWN)
+        ref, fleet = ref_sim.run(), fleet_sim.run()
+        _assert_runs_match(ref_sim, ref, fleet_sim, fleet)
+        assert self._server_state(fleet_sim) == self._server_state(ref_sim)
+        # Guard against the scenario going quiet.
+        assert booted > 0 and down_overnight > 0
+        assert fleet.total_downtime_s > 0.0
+        assert fleet_sim.cluster.nodes[5].server.freq_index == 2
 
 
 class TestTracedEquivalence:

@@ -27,8 +27,9 @@ from repro.perf import (
     sparkline,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_ENGINE = REPO_ROOT / "BENCH_engine.json"
+#: A checked-in ``bench_engine.py --quick --json`` payload, so the
+#: ingest and CLI tests never depend on a locally generated bench file.
+BENCH_ENGINE = Path(__file__).resolve().parent / "data" / "engine_bench.json"
 
 
 def _meta(sha="a" * 40, host="benchhost"):

@@ -6,6 +6,10 @@ which a capped utility budget is consumed, the brownout tolerance band
 this step cannot also charge, the UPS restart hysteresis around
 ``RESTART_SOC`` with its drawing-nodes solar divisor, and the
 one-RNG-draw-per-step utilisation contract.
+
+The budget, brownout and restart classes run against both routers: the
+reference :class:`PowerPath` and the array-native
+:class:`~repro.sim.fleet.FleetPowerPath` (``*Fleet`` subclasses).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.datacenter.server import Server, ServerParams, ServerPowerState
 from repro.datacenter.vm import VM
 from repro.datacenter.workloads import PAPER_WORKLOADS
 from repro.sim.engine import Simulation
+from repro.sim.fleet import FleetPowerPath
 from repro.sim.recorder import TraceRecorder
 from repro.sim.scenario import Scenario
 from repro.solar.weather import DayClass
@@ -34,13 +39,32 @@ def _node(name: str, soc: float = 1.0, idle_w: float = 60.0, peak_w: float = 150
     return Node.build(name, server=server, battery=battery)
 
 
-class TestUtilityBudgetOrdering:
+class _Router:
+    """Builds the router under test; ``*Fleet`` subclasses swap in the
+    array-native path and write its arrays back after each step so the
+    node objects can be inspected the same way."""
+
+    path_cls = PowerPath
+
+    def route(self, nodes, utility_budget_w=0.0):
+        return self.path_cls(Cluster(nodes), utility_budget_w=utility_budget_w)
+
+    @staticmethod
+    def step(path, **kwargs) -> PowerFlows:
+        flows = path.step(**kwargs)
+        fleet = getattr(path, "fleet", None)
+        if fleet is not None:
+            fleet.materialize()
+        return flows
+
+
+class TestUtilityBudgetOrdering(_Router):
     """The capped grid assist drains in node order, before batteries."""
 
     def test_budget_covers_first_node_then_batteries_bridge(self):
         nodes = [_node("node0"), _node("node1")]
-        path = PowerPath(Cluster(nodes), utility_budget_w=60.0)
-        flows = path.step(t=0.0, dt=60.0, solar_w=0.0)
+        path = self.route(nodes, utility_budget_w=60.0)
+        flows = self.step(path, t=0.0, dt=60.0, solar_w=0.0)
         # node0's whole 60 W idle deficit came from the grid; node1 had
         # to draw its own battery.
         assert flows.utility_to_load_w == pytest.approx(60.0)
@@ -52,8 +76,8 @@ class TestUtilityBudgetOrdering:
 
     def test_partial_budget_splits_across_nodes_in_order(self):
         nodes = [_node("node0"), _node("node1")]
-        path = PowerPath(Cluster(nodes), utility_budget_w=90.0)
-        flows = path.step(t=0.0, dt=60.0, solar_w=0.0)
+        path = self.route(nodes, utility_budget_w=90.0)
+        flows = self.step(path, t=0.0, dt=60.0, solar_w=0.0)
         # 60 W to node0, the remaining 30 W to node1; node1's battery
         # bridges only its residual ~30 W.
         assert flows.utility_to_load_w == pytest.approx(90.0)
@@ -62,20 +86,20 @@ class TestUtilityBudgetOrdering:
 
     def test_exhausted_budget_leaves_batteries_carrying_everything(self):
         nodes = [_node("node0"), _node("node1")]
-        path = PowerPath(Cluster(nodes), utility_budget_w=0.0)
-        flows = path.step(t=0.0, dt=60.0, solar_w=0.0)
+        path = self.route(nodes, utility_budget_w=0.0)
+        flows = self.step(path, t=0.0, dt=60.0, solar_w=0.0)
         assert flows.utility_to_load_w == 0.0
         assert flows.battery_to_load_w == pytest.approx(120.0, rel=0.05)
 
 
-class TestBrownoutToleranceBand:
+class TestBrownoutToleranceBand(_Router):
     """A server browns out only on a materially unmet deficit."""
 
     def test_sub_two_watt_sag_is_tolerated(self):
         node = _node("node0")
         node.discharge_cap_w = 59.0  # 1 W short of the 60 W idle demand
-        path = PowerPath(Cluster([node]))
-        flows = path.step(t=0.0, dt=60.0, solar_w=0.0)
+        path = self.route([node])
+        flows = self.step(path, t=0.0, dt=60.0, solar_w=0.0)
         assert flows.browned_out_nodes == 0
         assert flows.unserved_w == 0.0
         assert node.server.state is ServerPowerState.UP
@@ -85,16 +109,16 @@ class TestBrownoutToleranceBand:
         # shortfall — although above the absolute 2 W floor — is tolerated.
         node = _node("node0", idle_w=200.0, peak_w=300.0)
         node.discharge_cap_w = 197.0
-        path = PowerPath(Cluster([node]))
-        flows = path.step(t=0.0, dt=60.0, solar_w=0.0)
+        path = self.route([node])
+        flows = self.step(path, t=0.0, dt=60.0, solar_w=0.0)
         assert flows.browned_out_nodes == 0
         assert node.server.state is ServerPowerState.UP
 
     def test_material_shortfall_browns_out(self):
         node = _node("node0")
         node.discharge_cap_w = 40.0  # 20 W short of 60 W
-        path = PowerPath(Cluster([node]))
-        flows = path.step(t=0.0, dt=60.0, solar_w=0.0)
+        path = self.route([node])
+        flows = self.step(path, t=0.0, dt=60.0, solar_w=0.0)
         assert flows.browned_out_nodes == 1
         assert flows.unserved_w == pytest.approx(20.0, rel=0.05)
         assert node.server.state is ServerPowerState.DOWN
@@ -158,22 +182,22 @@ class TestChargeExcludesDischargedBatteries:
         )
 
 
-class TestRestartHysteresis:
+class TestRestartHysteresis(_Router):
     """A cut-off server stays down until its battery clears RESTART_SOC
     or the solar share alone can carry it."""
 
     def test_below_restart_soc_stays_down(self):
         node = _node("node0", soc=RESTART_SOC - 0.05)
         node.server.state = ServerPowerState.DOWN
-        path = PowerPath(Cluster([node]))
-        path.step(t=0.0, dt=60.0, solar_w=0.0)
+        path = self.route([node])
+        self.step(path, t=0.0, dt=60.0, solar_w=0.0)
         assert node.server.state is ServerPowerState.DOWN
 
     def test_recovered_battery_restarts(self):
         node = _node("node0", soc=RESTART_SOC + 0.05)
         node.server.state = ServerPowerState.DOWN
-        path = PowerPath(Cluster([node]))
-        path.step(t=0.0, dt=60.0, solar_w=0.0)
+        path = self.route([node])
+        self.step(path, t=0.0, dt=60.0, solar_w=0.0)
         assert node.server.state is ServerPowerState.BOOTING
 
     def test_solar_share_divides_across_drawing_nodes_only(self):
@@ -186,18 +210,30 @@ class TestRestartHysteresis:
         nodes = [_node("node0", soc=0.05), _node("node1"), _node("node2")]
         nodes[0].server.state = ServerPowerState.DOWN
         nodes[1].server.admin_off = True
-        path = PowerPath(Cluster(nodes))
-        path.step(t=0.0, dt=60.0, solar_w=130.0)
+        path = self.route(nodes)
+        self.step(path, t=0.0, dt=60.0, solar_w=130.0)
         assert nodes[0].server.state is ServerPowerState.BOOTING
 
     def test_insufficient_solar_and_dead_battery_stays_down(self):
         nodes = [_node("node0", soc=0.05), _node("node2")]
         nodes[0].server.state = ServerPowerState.DOWN
-        path = PowerPath(Cluster(nodes))
+        path = self.route(nodes)
         # 100 W across {node2, node0} = 50 W each < 60 W idle, and the
         # battery is below RESTART_SOC: no restart.
-        path.step(t=0.0, dt=60.0, solar_w=100.0)
+        self.step(path, t=0.0, dt=60.0, solar_w=100.0)
         assert nodes[0].server.state is ServerPowerState.DOWN
+
+
+class TestUtilityBudgetOrderingFleet(TestUtilityBudgetOrdering):
+    path_cls = FleetPowerPath
+
+
+class TestBrownoutToleranceBandFleet(TestBrownoutToleranceBand):
+    path_cls = FleetPowerPath
+
+
+class TestRestartHysteresisFleet(TestRestartHysteresis):
+    path_cls = FleetPowerPath
 
 
 class TestSampleOnceUtilization:
